@@ -72,8 +72,8 @@ use std::time::{Duration, Instant};
 use stl_core::{persist, IndexStats, Maintenance, ShardSet, Stl, StlConfig};
 use stl_graph::{io as gio, CsrGraph};
 use stl_server::{
-    replay_mixed, DurabilityConfig, Endpoint, FsyncPolicy, NetClient, NetConfig, NetServer, Router,
-    RouterConfig, RouterServer, ServerConfig, StlServer,
+    replay_mixed, DurabilityConfig, Endpoint, FsyncPolicy, NetClient, NetConfig, NetServer,
+    NetStats, Router, RouterConfig, RouterServer, ServerConfig, StlServer,
 };
 use stl_workloads::mixed::{mixed_trace, split_trace, MixedConfig, MixedOp};
 use stl_workloads::openloop::{open_loop_trace, percentile, Arrival, OpenLoopConfig};
@@ -466,13 +466,7 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
             println!("shutdown signal: draining, syncing the wal, writing a final checkpoint");
         }
         let net_stats = net_server.shutdown();
-        println!(
-            "transport: {} connections accepted, {} shed, {} bad frames, {} requests",
-            net_stats.connections_accepted,
-            net_stats.connections_shed,
-            net_stats.frames_rejected,
-            net_stats.requests_served,
-        );
+        print_transport(&net_stats);
         println!(
             "batcher: {} batches from {} requests ({} shed, {} rejected pre-validate); \
              {} size flushes, {} timer flushes",
@@ -535,6 +529,18 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     Ok(())
 }
 
+/// The closing `transport:` line of a socket front (`serve --listen` and
+/// `route`); CI greps it.
+fn print_transport(stats: &NetStats) {
+    println!(
+        "transport: {} connections accepted, {} shed, {} bad frames, {} requests",
+        stats.connections_accepted,
+        stats.connections_shed,
+        stats.frames_rejected,
+        stats.requests_served,
+    );
+}
+
 /// Per-client tally of an open-loop run.
 #[derive(Default)]
 struct NetTally {
@@ -559,7 +565,9 @@ impl NetTally {
 
 /// Replay one client's share of the arrivals open-loop: sleep until each
 /// offset and fire, whether or not the server has answered the last one in
-/// time — lag accumulates as latency, exactly as it would for real traffic.
+/// time. Each request is timed from its scheduled arrival, not from when
+/// it was sent, so lag accumulates as latency, exactly as it would for
+/// real traffic.
 fn run_net_client(
     addr: &Endpoint,
     arrivals: &[Arrival],
@@ -569,25 +577,24 @@ fn run_net_client(
         .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
     let mut tally = NetTally::default();
     for arrival in arrivals {
-        let target = start + arrival.offset;
-        if let Some(wait) = target.checked_duration_since(Instant::now()) {
+        let due = start + arrival.offset;
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        let t0 = Instant::now();
         match &arrival.op {
             MixedOp::Query(s, t) => match client.query(*s, *t) {
-                Ok(_) => tally.query_lat.push(t0.elapsed()),
+                Ok(_) => tally.query_lat.push(due.elapsed()),
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => tally.shed += 1,
                 Err(_) => tally.io_errors += 1,
             },
             MixedOp::Many(s, targets) => match client.one_to_many(*s, targets) {
-                Ok(_) => tally.query_lat.push(t0.elapsed()),
+                Ok(_) => tally.query_lat.push(due.elapsed()),
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => tally.shed += 1,
                 Err(_) => tally.io_errors += 1,
             },
             MixedOp::Batch(batch) => match client.update(batch) {
                 Ok(outcome) => {
-                    tally.update_lat.push(t0.elapsed());
+                    tally.update_lat.push(due.elapsed());
                     if outcome.applied {
                         tally.applied += 1;
                     } else {
@@ -612,7 +619,8 @@ fn fmt_lat(d: Option<Duration>) -> String {
 fn cmd_bench_net(args: &[String]) -> Result<(), AnyErr> {
     if args.len() < 2 {
         return Err("usage: stl bench-net <addr> <graph.gr> [--rate R] [--ops N] \
-                    [--clients C] [--update-fraction F] [--batch-size K] [--seed S]"
+                    [--clients C] [--update-fraction F] [--batch-size K] [--seed S] \
+                    [--many-fraction F] [--many-targets K]"
             .into());
     }
     let addr: Endpoint = args[0].parse().map_err(|e| format!("bad address '{}': {e}", args[0]))?;
@@ -857,6 +865,7 @@ fn cmd_route(args: &[String]) -> Result<(), AnyErr> {
     if sig::requested() {
         println!("shutdown signal: stopping the front and landing the workers");
     }
+    print_transport(&front.shutdown());
 
     let stats = router.local_stats();
     println!(
@@ -890,7 +899,6 @@ fn cmd_route(args: &[String]) -> Result<(), AnyErr> {
         );
         std::fs::write(&path, json)?;
     }
-    front.shutdown();
     for child in &mut children {
         stop_child(child);
     }

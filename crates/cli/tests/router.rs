@@ -294,4 +294,8 @@ fn route_survives_sigkill_of_one_worker() {
         lines.iter().any(|l| l.starts_with("worker 1 reattached at generation")),
         "supervisor must report the reattach: {lines:?}"
     );
+    assert!(
+        lines.iter().any(|l| l.starts_with("transport: ") && l.contains(" 0 bad frames,")),
+        "the front must report its transport counters, with no bad frames: {lines:?}"
+    );
 }

@@ -112,9 +112,11 @@
 //! workers, each a full `StlServer` that repairs only the spine plus its
 //! owned subtrees (`ServerConfig::owned_shards`), behind a [`Router`] front
 //! that scatter-gathers queries by tree ownership and replicates every
-//! update to all workers in sequence-number lockstep. A dead worker costs
-//! fail-fast errors for its subtrees only; respawn + WAL recovery + the
-//! router's replay-ring catch-up bring it back bit-identical.
+//! update to all workers in sequence-number lockstep. Clients reach the
+//! router through the same [`NetServer`] front a single process uses
+//! ([`NetServer::start_routed`]). A dead worker costs fail-fast errors for
+//! its subtrees only; respawn + WAL recovery + the router's replay-ring
+//! catch-up bring it back bit-identical.
 //!
 //! No dependencies beyond `std`: the swap slot is `RwLock<Arc<Snapshot>>`,
 //! the queue is `std::sync::mpsc`, and the publish barrier is a

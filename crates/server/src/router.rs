@@ -44,18 +44,16 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use stl_core::{Hierarchy, ShardSet, StlConfig, SPINE_SHARD};
 use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId};
 
-use crate::proto::{write_frame, Endpoint, RemoteOutcome, RemoteStats, Request, Response};
+use crate::proto::{Endpoint, RemoteOutcome, RemoteStats};
 use crate::server::validate_batch;
-use crate::transport::{read_frame_polling, retryable, NetClient, NetListener, NetStream, ReadEnd};
+use crate::transport::{retryable, NetClient, NetConfig, NetServer, NetStats};
 use crate::DedupWindow;
 
 /// Router knobs.
@@ -529,63 +527,26 @@ fn catch_up(client: &mut NetClient, ring: &VecDeque<(u64, Vec<EdgeUpdate>)>) -> 
 
 /// Serves the [`Router`] over the same wire protocol the workers speak, so
 /// [`NetClient`] (and `stl bench-net`) cannot tell a deployment from a
-/// single process. Thread-per-connection: the router fan-out itself is the
-/// bottleneck, not connection handling, and the front is expected to carry
-/// a handful of load generators, not thousands of sockets.
+/// single process. A thin handle over the one socket front end,
+/// [`NetServer::start_routed`], under [`NetConfig::default`]: the same
+/// reader pool, `BUSY` shedding beyond the connection caps, idle timeout
+/// and counters as a worker's own front.
 pub struct RouterServer {
     router: Arc<Router>,
-    local_addr: Endpoint,
-    unix_path: Option<PathBuf>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    net: NetServer,
 }
 
 impl RouterServer {
     /// Bind `listen` (same grammar as the worker transport) and serve
     /// `router` until [`RouterServer::shutdown`].
     pub fn start(router: Arc<Router>, listen: &str) -> io::Result<Self> {
-        let endpoint = Endpoint::parse(listen)?;
-        let (listener, local_addr) = NetListener::bind(&endpoint)?;
-        let unix_path = match &local_addr {
-            Endpoint::Unix(p) => Some(p.clone()),
-            Endpoint::Tcp(_) => None,
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("stl-route-accept".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok(stream) => {
-                                let router = Arc::clone(&router);
-                                let stop = Arc::clone(&stop);
-                                let handle = std::thread::Builder::new()
-                                    .name("stl-route-conn".into())
-                                    .spawn(move || serve_front(&router, stream, &stop))
-                                    .expect("spawn router connection thread");
-                                conns.lock().unwrap().push(handle);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                })
-                .expect("spawn router acceptor")
-        };
-        Ok(Self { router, local_addr, unix_path, stop, acceptor: Some(acceptor), conns })
+        let net = NetServer::start_routed(Arc::clone(&router), listen, NetConfig::default())?;
+        Ok(Self { router, net })
     }
 
     /// The address the front actually bound.
     pub fn local_addr(&self) -> Endpoint {
-        self.local_addr.clone()
+        self.net.local_addr()
     }
 
     /// The routed deployment behind this front.
@@ -593,92 +554,17 @@ impl RouterServer {
         &self.router
     }
 
-    /// Stop accepting and join every connection thread.
-    pub fn shutdown(mut self) {
-        self.close();
-    }
-
-    fn close(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for handle in self.conns.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(path) = self.unix_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-fn serve_front(router: &Router, mut stream: NetStream, stop: &AtomicBool) {
-    stream.set_nodelay();
-    if stream.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
-    }
-    let idle = Some(Duration::from_secs(30));
-    loop {
-        let payload = match read_frame_polling(&mut stream, stop, idle) {
-            Ok(p) => p,
-            Err(ReadEnd::Malformed(why)) => {
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
-                return;
-            }
-            Err(_) => return,
-        };
-        let response = match Request::decode(&payload) {
-            Err(why) => {
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
-                return;
-            }
-            Ok(Request::Query { s, t }) => reply(router.query(s, t), Response::Dist),
-            Ok(Request::OneToMany { s, targets }) => {
-                reply(router.one_to_many(s, &targets), Response::Many)
-            }
-            Ok(Request::Update(batch)) => reply(router.update(batch), outcome_response),
-            Ok(Request::UpdateKeyed { key, batch }) => {
-                reply(router.update_keyed(key, batch), outcome_response)
-            }
-            // The router *originates* APPLY; accepting one would let a
-            // client desequence the deployment.
-            Ok(Request::Apply { .. }) => Response::Error("router does not accept APPLY".into()),
-            Ok(Request::Stats) => reply(router.stats_fields(), Response::Stats),
-        };
-        if write_frame(&mut stream, &response.encode()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Fold a routed result into a wire response: fail-fast and transport
-/// errors become explicit `ERROR` frames, never silent drops.
-fn reply<T>(result: io::Result<T>, ok: impl FnOnce(T) -> Response) -> Response {
-    match result {
-        Ok(v) => ok(v),
-        Err(e) => Response::Error(e.to_string()),
-    }
-}
-
-fn outcome_response(outcome: RemoteOutcome) -> Response {
-    Response::Batch {
-        applied: outcome.applied,
-        generation: outcome.generation,
-        reason: outcome.reason,
+    /// Stop accepting, finish in-flight requests, join every thread, and
+    /// return the front's final transport counters.
+    pub fn shutdown(self) -> NetStats {
+        self.net.shutdown()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::server::{ServerConfig, StlServer};
-    use crate::transport::{NetConfig, NetServer};
     use crate::BatcherConfig;
     use stl_core::Stl;
     use stl_workloads::{generate, RoadNetConfig};
@@ -718,7 +604,7 @@ mod tests {
         (nets, router)
     }
 
-    fn deployment(g: &CsrGraph, n: usize) -> (Vec<NetServer>, Router) {
+    pub(crate) fn deployment(g: &CsrGraph, n: usize) -> (Vec<NetServer>, Router) {
         deployment_on(g, n, |_| "127.0.0.1:0".into())
     }
 

@@ -171,19 +171,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// [`ServerConfig::default`] with environment overrides:
+    /// [`ServerConfig::default`] with an environment override:
     ///
     /// * `STL_REPAIR_THREADS` (positive integer) — `repair_threads`; the
     ///   hook the CI release-stress matrix uses to exercise the repair
     ///   pipeline at both 1 and 4 workers.
-    /// * `STL_COMPACT_QUIET_EPOCHS` (integer, `0` disables) —
-    ///   [`ServerConfig::compact_after_quiet_epochs`].
-    /// * `STL_COMPACT_DIRTY_RATIO` (float in `0.0..=1.0`) —
-    ///   [`ServerConfig::compact_dirty_ratio`].
-    /// * `STL_REJECTION_WINDOW` (positive integer) —
-    ///   [`ServerConfig::rejection_window`].
-    /// * `STL_DEDUP_WINDOW` (integer, `0` disables) —
-    ///   [`ServerConfig::dedup_window`].
     ///
     /// A set-but-malformed variable is an **error**, not a silent default:
     /// `STL_REPAIR_THREADS=abc` (or `=0`) used to fall back to the default
@@ -197,24 +189,6 @@ impl ServerConfig {
                 return Err("STL_REPAIR_THREADS must be at least 1".into());
             }
             cfg.repair_threads = t;
-        }
-        if let Some(q) = parsed_env::<u32>("STL_COMPACT_QUIET_EPOCHS")? {
-            cfg.compact_after_quiet_epochs = q;
-        }
-        if let Some(r) = parsed_env::<f64>("STL_COMPACT_DIRTY_RATIO")? {
-            if !(0.0..=1.0).contains(&r) {
-                return Err(format!("STL_COMPACT_DIRTY_RATIO must be within 0.0..=1.0, got {r}"));
-            }
-            cfg.compact_dirty_ratio = r;
-        }
-        if let Some(w) = parsed_env::<usize>("STL_REJECTION_WINDOW")? {
-            if w == 0 {
-                return Err("STL_REJECTION_WINDOW must be at least 1".into());
-            }
-            cfg.rejection_window = w;
-        }
-        if let Some(d) = parsed_env::<usize>("STL_DEDUP_WINDOW")? {
-            cfg.dedup_window = d;
         }
         Ok(cfg)
     }
@@ -1241,26 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn config_from_env_overrides_durability_windows() {
-        let keys = ["STL_REJECTION_WINDOW", "STL_DEDUP_WINDOW"];
-        let prev: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var(keys[0], "7");
-        std::env::set_var(keys[1], "0");
-        let cfg = ServerConfig::from_env().unwrap();
-        assert_eq!(cfg.rejection_window, 7);
-        assert_eq!(cfg.dedup_window, 0, "0 must be accepted (disables dedup)");
-        std::env::set_var(keys[0], "0");
-        let err = ServerConfig::from_env().unwrap_err();
-        assert!(err.contains("at least 1"), "zero-deep rejection window must error: {err}");
-        for (k, v) in keys.iter().zip(prev) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
-    }
-
-    #[test]
     fn quiescence_triggers_compaction_and_flat_snapshots() {
         // With the trigger wound down to "compact after every epoch", the
         // writer must flatten the arena, report it in ServerStats, and keep
@@ -1332,26 +1286,6 @@ mod tests {
             assert_eq!(snap.query(s, t), dijkstra::distance(&g, s, t));
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn config_from_env_overrides_compaction_knobs() {
-        let keys = ["STL_COMPACT_QUIET_EPOCHS", "STL_COMPACT_DIRTY_RATIO"];
-        let prev: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var(keys[0], "3");
-        std::env::set_var(keys[1], "0.5");
-        let cfg = ServerConfig::from_env().unwrap();
-        assert_eq!(cfg.compact_after_quiet_epochs, 3);
-        assert!((cfg.compact_dirty_ratio - 0.5).abs() < 1e-9);
-        std::env::set_var(keys[1], "1.5");
-        let err = ServerConfig::from_env().unwrap_err();
-        assert!(err.contains("0.0..=1.0"), "out-of-range ratio must error: {err}");
-        for (k, v) in keys.iter().zip(prev) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,15 @@
-//! Socket front-end: the [`crate::proto`] frame protocol served over TCP or
+//! Socket front end: the [`crate::proto`] frame protocol served over TCP or
 //! unix-domain sockets by a fixed-size reader-thread pool, with admission
-//! control and adaptive update batching.
+//! control. [`NetServer`] is the only socket server, and it serves one of
+//! two backends behind the same acceptor, pool, shedding, idle timeout and
+//! counters:
+//!
+//! * **a local [`StlServer`]** ([`NetServer::start`]) — queries read a
+//!   snapshot taken per request, updates go through an adaptive batcher;
+//! * **a process-sharded deployment** ([`NetServer::start_routed`]) — every
+//!   request goes to the [`Router`], which forwards it to the shard workers
+//!   (each itself a local-backend `NetServer`). Clients cannot tell the two
+//!   apart, except that the router refuses `APPLY`.
 //!
 //! The wire format — length-prefixed frames, a version byte, typed
 //! request/response opcodes — lives in [`crate::proto`]; this module is the
@@ -22,27 +31,29 @@
 //!
 //! One acceptor thread admits connections into a queue drained by
 //! [`NetConfig::reader_threads`] worker threads; each worker serves one
-//! connection at a time and re-grabs an `Arc<Snapshot>` **per request**, so
-//! queries always answer from the latest published epoch without ever
-//! blocking the writer. Overload sheds instead of piling up, at two gates:
+//! connection at a time. On the local backend it re-grabs an
+//! `Arc<Snapshot>` **per request**, so queries always answer from the
+//! latest published epoch without ever blocking the writer. Overload sheds
+//! instead of piling up, at two gates:
 //!
-//! * **Connections** — beyond [`NetConfig::max_connections`] open or
-//!   [`NetConfig::accept_queue`] waiting for a worker, new connections get a
-//!   `BUSY` frame and are closed immediately.
-//! * **Updates** — the shared [`AdaptiveBatcher`] bounds pending updates
-//!   ([`crate::BatcherConfig::max_queued`]); requests beyond it come back
-//!   `rejected` with an explicit `overloaded` reason.
+//! * **Connections** (both backends) — beyond [`NetConfig::max_connections`]
+//!   open or [`NetConfig::accept_queue`] waiting for a worker, new
+//!   connections get a `BUSY` frame and are closed immediately.
+//! * **Updates** (local backend) — the shared [`AdaptiveBatcher`] bounds
+//!   pending updates ([`crate::BatcherConfig::max_queued`]); requests beyond
+//!   it come back `rejected` with an explicit `overloaded` reason.
 //!
-//! `UPDATE`/`UPDATE_KEYED` flow through the batcher: a worker blocks its
-//! connection until the merged batch containing its request is applied and
-//! published (or rejected), so an `applied` response is a
-//! **read-your-writes guarantee** — any later query on any connection sees
-//! the update. `APPLY` (router→worker replication) deliberately **bypasses
-//! the batcher**: coalescing would break the `seq == generation` lockstep
-//! the router's replay ring depends on. An `APPLY` whose `seq` is not
-//! exactly `generation + 1` (and not already applied — workers dedup on
+//! On the local backend, `UPDATE`/`UPDATE_KEYED` flow through the batcher:
+//! a worker blocks its connection until the merged batch containing its
+//! request is applied and published (or rejected), so an `applied` response
+//! is a **read-your-writes guarantee** — any later query on any connection
+//! sees the update. `APPLY` (router→worker replication) deliberately
+//! **bypasses the batcher**: coalescing would break the `seq == generation`
+//! lockstep the router's replay ring depends on. An `APPLY` whose `seq` is
+//! not exactly `generation + 1` (and not already applied — workers dedup on
 //! `seq`) is answered `ERROR` so a replication gap fails loudly instead of
-//! desynchronising replicas.
+//! desynchronising replicas. On the routed backend, updates go to the
+//! router, which acknowledges only after replicating them to the workers.
 //!
 //! ## Idempotent retries
 //!
@@ -75,6 +86,7 @@ use crate::proto::{
     self, read_frame_blocking, write_frame, Endpoint, RemoteOutcome, RemoteStats, Request,
     Response, MAX_FRAME_BYTES,
 };
+use crate::router::Router;
 use crate::server::{BatchOutcome, StlServer};
 
 /// Transport configuration (see the module docs for the backpressure model).
@@ -90,7 +102,7 @@ pub struct NetConfig {
     /// accepts are shed with a `BUSY` frame.
     pub accept_queue: usize,
     /// Knobs of the shared [`AdaptiveBatcher`] all update requests flow
-    /// through.
+    /// through (local backend only).
     pub batcher: BatcherConfig,
     /// Close a connection after this many milliseconds without a complete
     /// request (`0` = never). Protects the fixed-size pool from idle or
@@ -125,7 +137,7 @@ pub struct NetStats {
     /// buffer without growing it — the steady state once each worker's
     /// scratch has seen its largest target set.
     pub many_scratch_reuses: u64,
-    /// Counters of the shared update batcher.
+    /// Counters of the shared update batcher (all zero on a routed front).
     pub batcher: BatcherStats,
 }
 
@@ -141,7 +153,7 @@ struct NetCounters {
 // ---- address-family abstraction -----------------------------------------
 
 /// A bound listener in either address family, always nonblocking.
-pub(crate) enum NetListener {
+enum NetListener {
     Tcp(TcpListener),
     Unix(UnixListener),
 }
@@ -152,7 +164,7 @@ impl NetListener {
     /// at a unix path — debris of a process that did not exit cleanly — is
     /// removed before binding; live servers hold the listener open, so the
     /// file being bindable-over means nobody is accepting on it.
-    pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<(Self, Endpoint)> {
+    fn bind(endpoint: &Endpoint) -> io::Result<(Self, Endpoint)> {
         match endpoint {
             Endpoint::Tcp(addr) => {
                 let listener = TcpListener::bind(addr)?;
@@ -171,7 +183,7 @@ impl NetListener {
         }
     }
 
-    pub(crate) fn accept(&self) -> io::Result<NetStream> {
+    fn accept(&self) -> io::Result<NetStream> {
         match self {
             NetListener::Tcp(l) => l.accept().map(|(s, _)| NetStream::Tcp(s)),
             NetListener::Unix(l) => l.accept().map(|(s, _)| NetStream::Unix(s)),
@@ -191,20 +203,20 @@ pub enum NetStream {
 }
 
 impl NetStream {
-    pub(crate) fn set_nodelay(&self) {
+    fn set_nodelay(&self) {
         if let NetStream::Tcp(s) = self {
             let _ = s.set_nodelay(true);
         }
     }
 
-    pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         match self {
             NetStream::Tcp(s) => s.set_read_timeout(dur),
             NetStream::Unix(s) => s.set_read_timeout(dur),
         }
     }
 
-    pub(crate) fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+    fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         match self {
             NetStream::Tcp(s) => s.set_write_timeout(dur),
             NetStream::Unix(s) => s.set_write_timeout(dur),
@@ -238,7 +250,7 @@ impl Write for NetStream {
 }
 
 /// Dial `endpoint` in its family.
-pub(crate) fn dial(endpoint: &Endpoint) -> io::Result<NetStream> {
+fn dial(endpoint: &Endpoint) -> io::Result<NetStream> {
     let stream = match endpoint {
         Endpoint::Tcp(addr) => NetStream::Tcp(TcpStream::connect(addr)?),
         Endpoint::Unix(path) => NetStream::Unix(UnixStream::connect(path)?),
@@ -249,9 +261,16 @@ pub(crate) fn dial(endpoint: &Endpoint) -> io::Result<NetStream> {
 
 // ---- server -------------------------------------------------------------
 
+/// What a [`NetServer`] answers requests from.
+enum Backend<I: DynamicDistanceIndex> {
+    /// One index in this process, updated through the shared batcher.
+    Local { server: Arc<StlServer<I>>, batcher: AdaptiveBatcher<I> },
+    /// A process-sharded deployment's router.
+    Routed(Arc<Router>),
+}
+
 struct NetShared<I: DynamicDistanceIndex> {
-    server: Arc<StlServer<I>>,
-    batcher: AdaptiveBatcher<I>,
+    backend: Backend<I>,
     cfg: NetConfig,
     stop: AtomicBool,
     /// Connections accepted but not yet picked up by a worker.
@@ -261,9 +280,10 @@ struct NetShared<I: DynamicDistanceIndex> {
     counters: NetCounters,
 }
 
-/// The socket front-end. Binds in [`NetServer::start`], serves until
-/// [`NetServer::shutdown`]. All state is shared through `Arc`s, so the
-/// handle is cheap to move across threads.
+/// The socket front end. Binds in [`NetServer::start`] (local backend) or
+/// [`NetServer::start_routed`], serves until [`NetServer::shutdown`]. All
+/// state is shared through `Arc`s, so the handle is cheap to move across
+/// threads.
 pub struct NetServer<I: DynamicDistanceIndex = Stl> {
     shared: Arc<NetShared<I>>,
     local_addr: Endpoint,
@@ -282,17 +302,25 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
     /// threads. Use port 0 for an ephemeral TCP port; the bound address is
     /// [`NetServer::local_addr`].
     pub fn start(server: Arc<StlServer<I>>, listen: &str, cfg: NetConfig) -> io::Result<Self> {
+        let (listener, local_addr) = NetListener::bind(&Endpoint::parse(listen)?)?;
+        let batcher = AdaptiveBatcher::start(Arc::clone(&server), cfg.batcher.clone());
+        Ok(Self::serve(listener, local_addr, Backend::Local { server, batcher }, cfg))
+    }
+
+    /// Start the acceptor and worker threads on a bound listener.
+    fn serve(
+        listener: NetListener,
+        local_addr: Endpoint,
+        backend: Backend<I>,
+        cfg: NetConfig,
+    ) -> Self {
         assert!(cfg.reader_threads >= 1, "need at least one reader thread");
-        let endpoint = Endpoint::parse(listen)?;
-        let (listener, local_addr) = NetListener::bind(&endpoint)?;
         let unix_path = match &local_addr {
             Endpoint::Unix(p) => Some(p.clone()),
             Endpoint::Tcp(_) => None,
         };
-        let batcher = AdaptiveBatcher::start(Arc::clone(&server), cfg.batcher.clone());
         let shared = Arc::new(NetShared {
-            server,
-            batcher,
+            backend,
             cfg,
             stop: AtomicBool::new(false),
             queued: AtomicUsize::new(0),
@@ -318,14 +346,14 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
             .name("stl-net-accept".into())
             .spawn(move || accept_loop(&acceptor_shared, &listener, &acceptor_tx))
             .expect("spawn net acceptor");
-        Ok(Self {
+        Self {
             shared,
             local_addr,
             unix_path,
             acceptor: Some(acceptor),
             workers,
             conn_tx: Mutex::new(Some(conn_tx)),
-        })
+        }
     }
 
     /// The address the listener actually bound.
@@ -342,7 +370,10 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
             frames_rejected: c.frames_rejected.load(Ordering::Relaxed),
             requests_served: c.requests_served.load(Ordering::Relaxed),
             many_scratch_reuses: c.many_scratch_reuses.load(Ordering::Relaxed),
-            batcher: self.shared.batcher.stats(),
+            batcher: match &self.shared.backend {
+                Backend::Local { batcher, .. } => batcher.stats(),
+                Backend::Routed(_) => BatcherStats::default(),
+            },
         }
     }
 
@@ -368,10 +399,21 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
         // Deterministic teardown so callers can Arc::try_unwrap the
         // StlServer afterwards: the flusher thread holds the only other
         // reference and shutdown() joins it.
-        self.shared.batcher.shutdown();
+        if let Backend::Local { batcher, .. } = &self.shared.backend {
+            batcher.shutdown();
+        }
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+impl NetServer {
+    /// Bind `listen` like [`NetServer::start`] and serve a process-sharded
+    /// deployment: every request goes to `router`, and `APPLY` is refused.
+    pub fn start_routed(router: Arc<Router>, listen: &str, cfg: NetConfig) -> io::Result<Self> {
+        let (listener, local_addr) = NetListener::bind(&Endpoint::parse(listen)?)?;
+        Ok(Self::serve(listener, local_addr, Backend::Routed(router), cfg))
     }
 }
 
@@ -442,7 +484,7 @@ fn worker_loop<I: DynamicDistanceIndex>(shared: &NetShared<I>, rx: &Mutex<Receiv
 }
 
 /// Why a frame read ended without a frame.
-pub(crate) enum ReadEnd {
+enum ReadEnd {
     /// Clean EOF at a frame boundary.
     Closed,
     /// Shutdown requested while waiting.
@@ -482,11 +524,8 @@ fn serve_connection<I: DynamicDistanceIndex>(
             Err(ReadEnd::Io(_)) => return Ok(()),
         };
         shared.counters.requests_served.fetch_add(1, Ordering::Relaxed);
-        // Refresh the snapshot per request: each answer comes from the
-        // latest published epoch at the moment the request is handled.
-        let snap = shared.server.snapshot();
-        let n = snap.graph().num_vertices() as u64;
-        let response = match Request::decode(&payload) {
+        let request = match Request::decode(&payload) {
+            Ok(request) => request,
             Err(why) => {
                 // Malformed at the payload level (including a protocol
                 // version this build does not speak): answer and close,
@@ -495,67 +534,12 @@ fn serve_connection<I: DynamicDistanceIndex>(
                 let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
                 return Ok(());
             }
-            Ok(Request::Query { s, t }) => {
-                if u64::from(s) >= n || u64::from(t) >= n {
-                    Response::Error("vertex out of range".into()).encode()
-                } else {
-                    shared.server.record_queries(1);
-                    Response::Dist(snap.query(s, t)).encode()
-                }
+        };
+        let response = match &shared.backend {
+            Backend::Local { server, batcher } => {
+                local_response(server, batcher, &shared.counters, request, many_scratch)
             }
-            Ok(Request::OneToMany { s, targets }) => {
-                if u64::from(s) >= n || targets.iter().any(|&t| u64::from(t) >= n) {
-                    Response::Error("vertex out of range".into()).encode()
-                } else {
-                    shared.server.record_queries(targets.len() as u64);
-                    if many_scratch.capacity() >= targets.len() {
-                        shared.counters.many_scratch_reuses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    snap.index().one_to_many_into(s, &targets, many_scratch);
-                    proto::many_payload(many_scratch)
-                }
-            }
-            Ok(Request::Update(batch)) => {
-                // Blocks this connection (not the worker pool's siblings'
-                // queues — each worker owns one connection) until the merged
-                // batch publishes: read-your-writes for the client.
-                let outcome = shared.batcher.submit(batch).wait();
-                batch_response(&outcome, shared.server.generation()).encode()
-            }
-            Ok(Request::UpdateKeyed { key, batch }) => {
-                let outcome = shared.batcher.submit_keyed(Some(key), batch).wait();
-                batch_response(&outcome, shared.server.generation()).encode()
-            }
-            Ok(Request::Apply { seq, batch }) => {
-                // Router→worker replication. Bypasses the batcher (coalescing
-                // would break seq == generation lockstep) and keys the dedup
-                // window on `seq` itself, so a catch-up resend of an
-                // already-applied batch is acknowledged idempotently.
-                if let Some(applied_seq) = shared.server.dedup_lookup(seq) {
-                    Response::Batch {
-                        applied: true,
-                        generation: applied_seq,
-                        reason: String::new(),
-                    }
-                    .encode()
-                } else {
-                    let generation = shared.server.generation();
-                    if seq != generation + 1 {
-                        // A gap means this replica missed a batch the router
-                        // can no longer assume it has; failing loudly forces
-                        // a catch-up instead of a silent desync.
-                        Response::Error(format!(
-                            "apply out of order: at generation {generation}, got seq {seq}"
-                        ))
-                        .encode()
-                    } else {
-                        let ticket = shared.server.submit_with_keys(vec![seq], batch);
-                        let outcome = shared.server.wait_for(ticket);
-                        batch_response(&outcome, shared.server.generation()).encode()
-                    }
-                }
-            }
-            Ok(Request::Stats) => Response::Stats(stats_fields(shared)).encode(),
+            Backend::Routed(router) => routed_response(router, request),
         };
         // The ack-loss window the keyed-retry machinery exists for: the
         // update has applied (and hit the WAL, on durable servers) but the
@@ -566,6 +550,101 @@ fn serve_connection<I: DynamicDistanceIndex>(
             return Ok(()); // peer gone mid-response; nothing to salvage
         }
     }
+}
+
+/// Answer `request` from a local server: a snapshot taken now for reads,
+/// the shared batcher for updates.
+fn local_response<I: DynamicDistanceIndex>(
+    server: &StlServer<I>,
+    batcher: &AdaptiveBatcher<I>,
+    counters: &NetCounters,
+    request: Request,
+    many_scratch: &mut Vec<Dist>,
+) -> Vec<u8> {
+    // Refresh the snapshot per request: each answer comes from the
+    // latest published epoch at the moment the request is handled.
+    let snap = server.snapshot();
+    let n = snap.graph().num_vertices() as u64;
+    match request {
+        Request::Query { s, t } => {
+            if u64::from(s) >= n || u64::from(t) >= n {
+                Response::Error("vertex out of range".into()).encode()
+            } else {
+                server.record_queries(1);
+                Response::Dist(snap.query(s, t)).encode()
+            }
+        }
+        Request::OneToMany { s, targets } => {
+            if u64::from(s) >= n || targets.iter().any(|&t| u64::from(t) >= n) {
+                Response::Error("vertex out of range".into()).encode()
+            } else {
+                server.record_queries(targets.len() as u64);
+                if many_scratch.capacity() >= targets.len() {
+                    counters.many_scratch_reuses.fetch_add(1, Ordering::Relaxed);
+                }
+                snap.index().one_to_many_into(s, &targets, many_scratch);
+                proto::many_payload(many_scratch)
+            }
+        }
+        Request::Update(batch) => {
+            // Blocks this connection (not the worker pool's siblings'
+            // queues — each worker owns one connection) until the merged
+            // batch publishes: read-your-writes for the client.
+            let outcome = batcher.submit(batch).wait();
+            batch_response(&outcome, server.generation()).encode()
+        }
+        Request::UpdateKeyed { key, batch } => {
+            let outcome = batcher.submit_keyed(Some(key), batch).wait();
+            batch_response(&outcome, server.generation()).encode()
+        }
+        Request::Apply { seq, batch } => {
+            // Router→worker replication. Bypasses the batcher (coalescing
+            // would break seq == generation lockstep) and keys the dedup
+            // window on `seq` itself, so a catch-up resend of an
+            // already-applied batch is acknowledged idempotently.
+            if let Some(applied_seq) = server.dedup_lookup(seq) {
+                Response::Batch { applied: true, generation: applied_seq, reason: String::new() }
+                    .encode()
+            } else {
+                let generation = server.generation();
+                if seq != generation + 1 {
+                    // A gap means this replica missed a batch the router
+                    // can no longer assume it has; failing loudly forces
+                    // a catch-up instead of a silent desync.
+                    Response::Error(format!(
+                        "apply out of order: at generation {generation}, got seq {seq}"
+                    ))
+                    .encode()
+                } else {
+                    let ticket = server.submit_with_keys(vec![seq], batch);
+                    let outcome = server.wait_for(ticket);
+                    batch_response(&outcome, server.generation()).encode()
+                }
+            }
+        }
+        Request::Stats => Response::Stats(stats_fields(server, batcher, counters)).encode(),
+    }
+}
+
+/// Answer `request` through the router. Fail-fast and worker I/O errors
+/// become explicit `ERROR` frames, never silent drops.
+fn routed_response(router: &Router, request: Request) -> Vec<u8> {
+    let ack = |o: RemoteOutcome| Response::Batch {
+        applied: o.applied,
+        generation: o.generation,
+        reason: o.reason,
+    };
+    let response = match request {
+        Request::Query { s, t } => router.query(s, t).map(Response::Dist),
+        Request::OneToMany { s, targets } => router.one_to_many(s, &targets).map(Response::Many),
+        Request::Update(batch) => router.update(batch).map(ack),
+        Request::UpdateKeyed { key, batch } => router.update_keyed(key, batch).map(ack),
+        // The router *originates* APPLY; accepting one would let a client
+        // desequence the deployment.
+        Request::Apply { .. } => Ok(Response::Error("router does not accept APPLY".into())),
+        Request::Stats => router.stats_fields().map(Response::Stats),
+    };
+    response.unwrap_or_else(|e| Response::Error(e.to_string())).encode()
 }
 
 /// Map a writer outcome onto the wire representation.
@@ -585,17 +664,20 @@ fn batch_response(outcome: &BatchOutcome, generation: u64) -> Response {
     }
 }
 
-/// The `STATS` field list, in [`RemoteStats`] order.
-fn stats_fields<I: DynamicDistanceIndex>(shared: &NetShared<I>) -> Vec<u64> {
-    let server = shared.server.stats();
-    let batcher = shared.batcher.stats();
-    let c = &shared.counters;
+/// The `STATS` field list of a local backend, in [`RemoteStats`] order.
+fn stats_fields<I: DynamicDistanceIndex>(
+    server: &StlServer<I>,
+    batcher: &AdaptiveBatcher<I>,
+    c: &NetCounters,
+) -> Vec<u64> {
+    let stats = server.stats();
+    let batcher = batcher.stats();
     vec![
-        shared.server.generation(),
-        server.queries_served,
-        server.batches_applied,
-        server.batches_rejected,
-        server.updates_submitted,
+        server.generation(),
+        stats.queries_served,
+        stats.batches_applied,
+        stats.batches_rejected,
+        stats.updates_submitted,
         c.connections_accepted.load(Ordering::Relaxed),
         c.connections_shed.load(Ordering::Relaxed),
         c.frames_rejected.load(Ordering::Relaxed),
@@ -608,7 +690,7 @@ fn stats_fields<I: DynamicDistanceIndex>(shared: &NetShared<I>) -> Vec<u64> {
 
 /// Worker-side frame read: polls in read-timeout slices so the stop flag and
 /// the idle deadline stay live, and classifies every way a read can end.
-pub(crate) fn read_frame_polling(
+fn read_frame_polling(
     stream: &mut NetStream,
     stop: &AtomicBool,
     idle: Option<Duration>,
@@ -988,6 +1070,30 @@ mod tests {
         (server, net)
     }
 
+    /// The two backends a front serves; admission control, malformed-frame
+    /// handling and shutdown must behave the same on both.
+    #[derive(Debug, Clone, Copy)]
+    enum Front {
+        Local,
+        Routed,
+    }
+
+    const FRONTS: [Front; 2] = [Front::Local, Front::Routed];
+
+    /// A front over `g` with `cfg`: a local server, or a router over two
+    /// shard workers. The returned workers (none for a local front) must
+    /// outlive the front.
+    fn start_front(front: Front, g: &CsrGraph, cfg: NetConfig) -> (NetServer, Vec<NetServer>) {
+        match front {
+            Front::Local => (start_net(g, cfg).1, Vec::new()),
+            Front::Routed => {
+                let (workers, router) = crate::router::tests::deployment(g, 2);
+                let net = NetServer::start_routed(Arc::new(router), "127.0.0.1:0", cfg);
+                (net.expect("bind"), workers)
+            }
+        }
+    }
+
     fn fast_cfg() -> NetConfig {
         NetConfig {
             batcher: BatcherConfig { latency_ms: 0, ..Default::default() },
@@ -1101,8 +1207,14 @@ mod tests {
 
     #[test]
     fn malformed_frame_closes_only_that_connection() {
+        for front in FRONTS {
+            malformed_frame_closes_only_that_connection_on(front);
+        }
+    }
+
+    fn malformed_frame_closes_only_that_connection_on(front: Front) {
         let g = diamond();
-        let (_server, net) = start_net(&g, fast_cfg());
+        let (net, _workers) = start_front(front, &g, fast_cfg());
         let addr = net.local_addr();
 
         // Unknown opcode: ERROR response, then EOF on this connection.
@@ -1145,7 +1257,7 @@ mod tests {
         let mut fine = NetClient::connect(&addr).unwrap();
         assert_eq!(fine.query(0, 3).unwrap(), 12);
         let net_stats = net.shutdown();
-        assert!(net_stats.frames_rejected >= 4);
+        assert!(net_stats.frames_rejected >= 4, "{front:?} front");
     }
 
     #[test]
@@ -1161,6 +1273,12 @@ mod tests {
           // The worker notices, counts it, and moves on to the next client.
         let mut fine = NetClient::connect(&net.local_addr()).unwrap();
         assert_eq!(fine.query(0, 2).unwrap(), 7);
+        // Another worker may still be about to read the cut frame; shutting
+        // down first would stop it before it counts anything.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while net.stats().frames_rejected == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let stats = net.shutdown();
         assert_eq!(stats.frames_rejected, 1, "mid-frame hangup counts as malformed");
     }
@@ -1179,42 +1297,51 @@ mod tests {
 
     #[test]
     fn overload_sheds_connections_with_busy() {
-        // One worker, zero waiting room: while the worker is pinned by a
-        // slow update (large latency budget), any further connection must be
-        // shed with BUSY instead of queueing without bound.
+        // One worker, zero waiting room: while the worker is pinned, any
+        // further connection must be shed with BUSY instead of queueing
+        // without bound.
         let g = diamond();
-        let (_server, net) = start_net(
-            &g,
-            NetConfig {
-                reader_threads: 1,
-                max_connections: 1,
-                accept_queue: 1,
-                batcher: BatcherConfig { latency_ms: 1_000, ..Default::default() },
-                idle_timeout_ms: 30_000,
-            },
-        );
-        let addr = net.local_addr();
+        let cfg = NetConfig {
+            reader_threads: 1,
+            max_connections: 1,
+            accept_queue: 1,
+            batcher: BatcherConfig { latency_ms: 1_000, ..Default::default() },
+            idle_timeout_ms: 30_000,
+        };
+        for front in FRONTS {
+            let (net, _workers) = start_front(front, &g, cfg.clone());
+            let addr = net.local_addr();
 
-        // Pin the only worker: this update waits out the 1 s latency budget.
-        let pinned_addr = addr.clone();
-        let pinned = std::thread::spawn(move || {
-            let mut c = NetClient::connect(&pinned_addr).unwrap();
-            c.update(&[EdgeUpdate::new(0, 1, 5)]).unwrap()
-        });
-        // Give the worker time to pick the connection up.
-        std::thread::sleep(Duration::from_millis(300));
+            // Pin the only worker. Locally a slow update does it (it waits
+            // out the 1 s latency budget); the router does not batch, so an
+            // idle open connection holds the worker instead.
+            let pinned_addr = addr.clone();
+            let pinned = std::thread::spawn(move || {
+                let mut c = NetClient::connect(&pinned_addr).unwrap();
+                match front {
+                    Front::Local => assert!(c.update(&[EdgeUpdate::new(0, 1, 5)]).unwrap().applied),
+                    Front::Routed => std::thread::sleep(Duration::from_millis(1_000)),
+                }
+            });
+            // Give the worker time to pick the connection up.
+            std::thread::sleep(Duration::from_millis(300));
 
-        // The worker is busy; this connection waits in the accept queue.
-        let _waiting = NetClient::connect(&addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // Queue full (1 waiting) and at the connection cap: shed.
-        let mut shed = NetClient::connect(&addr).unwrap();
-        let err = shed.query(0, 3).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "expected BUSY, got {err}");
+            // The worker is busy; this connection waits in the accept queue.
+            let _waiting = NetClient::connect(&addr).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            // Queue full (1 waiting) and at the connection cap: shed.
+            let mut shed = NetClient::connect(&addr).unwrap();
+            let err = shed.query(0, 3).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::ConnectionRefused,
+                "{front:?} front: expected BUSY, got {err}"
+            );
 
-        assert!(pinned.join().unwrap().applied);
-        let stats = net.shutdown();
-        assert!(stats.connections_shed >= 1, "admission control must have shed");
+            pinned.join().unwrap();
+            let stats = net.shutdown();
+            assert!(stats.connections_shed >= 1, "{front:?} front: admission control must shed");
+        }
     }
 
     #[test]
@@ -1275,10 +1402,15 @@ mod tests {
     #[test]
     fn stop_releases_workers_holding_idle_connections() {
         let g = diamond();
-        let (_server, net) = start_net(&g, fast_cfg());
-        let _idle = NetClient::connect(&net.local_addr()).unwrap();
-        let t0 = Instant::now();
-        net.shutdown(); // must not wait for the idle client to hang up
-        assert!(t0.elapsed() < Duration::from_secs(5), "shutdown stalled on an idle connection");
+        for front in FRONTS {
+            let (net, _workers) = start_front(front, &g, fast_cfg());
+            let _idle = NetClient::connect(&net.local_addr()).unwrap();
+            let t0 = Instant::now();
+            net.shutdown(); // must not wait for the idle client to hang up
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "{front:?} front: shutdown stalled on an idle connection"
+            );
+        }
     }
 }
