@@ -8,8 +8,8 @@
 //! [`StlServer::submit`]: it accumulates incoming update requests until
 //! either a **latency budget** ([`BatcherConfig::latency_ms`]) or a **size
 //! budget** ([`BatcherConfig::max_updates`]) trips, then submits everything
-//! accumulated as one writer batch and fans the resulting [`BatchOutcome`]
-//! back to every contributing request.
+//! accumulated as one writer batch. Every request merged into a batch holds
+//! that batch's [`Ticket`], so the one [`BatchOutcome`] reaches all of them.
 //!
 //! Two properties keep bad input and overload survivable:
 //!
@@ -30,7 +30,7 @@
 //! ([`AdaptiveBatcher::submit_keyed`]). A keyed request that already applied
 //! is answered from the server's dedup window without re-applying, and a
 //! keyed request whose twin is still pending *joins* the pending request's
-//! outcome slot instead of enqueueing a duplicate — so a client that times
+//! ticket instead of enqueueing a duplicate — so a client that times
 //! out and retries (or reconnects after a writer restart) can never
 //! double-apply its update.
 
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use stl_core::{DynamicDistanceIndex, Stl};
 use stl_graph::{CsrGraph, EdgeUpdate};
 
-use crate::server::{validate_batch, BatchOutcome, StlServer};
+use crate::server::{validate_batch, BatchOutcome, StlServer, Ticket};
 
 /// Batching knobs (see the module docs for the trade-off they control).
 #[derive(Debug, Clone)]
@@ -91,49 +91,19 @@ pub struct BatcherStats {
     pub flushes_by_timer: u64,
 }
 
-#[derive(Debug, Default)]
-struct OutcomeSlot {
-    outcome: Mutex<Option<BatchOutcome>>,
-    ready: Condvar,
-}
-
-impl OutcomeSlot {
-    fn resolve(&self, outcome: BatchOutcome) {
-        *self.outcome.lock().unwrap() = Some(outcome);
-        self.ready.notify_all();
-    }
-}
-
-/// Handle to one enqueued update request; [`PendingUpdate::wait`] blocks
-/// until the request's merged batch has been applied (or the request was
-/// rejected/shed up front) and returns the outcome.
-#[derive(Debug)]
-pub struct PendingUpdate(Arc<OutcomeSlot>);
-
-impl PendingUpdate {
-    fn resolved(outcome: BatchOutcome) -> Self {
-        let slot = OutcomeSlot::default();
-        *slot.outcome.lock().unwrap() = Some(outcome);
-        Self(Arc::new(slot))
-    }
-
-    /// Block until the outcome is known. Idempotent — repeated calls return
-    /// the same outcome.
-    pub fn wait(&self) -> BatchOutcome {
-        let guard = self.0.outcome.lock().unwrap();
-        let guard = self.0.ready.wait_while(guard, |o| o.is_none()).unwrap();
-        guard.clone().expect("wait_while guarantees Some")
-    }
-}
-
 struct FlushState {
+    /// Updates of the open batch, in request order.
     pending: Vec<EdgeUpdate>,
-    /// One entry per enqueued request: its idempotency key (if any) and the
-    /// slot its outcome resolves into.
-    waiters: Vec<(Option<u64>, Arc<OutcomeSlot>)>,
-    /// Keys currently pending or in a submitted-but-unresolved batch; a
-    /// retry carrying one of these joins the existing slot.
-    in_flight: HashMap<u64, Arc<OutcomeSlot>>,
+    /// Requests merged into the open batch; the flush trigger (a request
+    /// may carry zero updates).
+    requests: usize,
+    /// Idempotency keys of the open batch's requests.
+    keys: Vec<u64>,
+    /// The open batch's ticket, shared by every request merged into it.
+    ticket: Ticket,
+    /// Keys currently pending or in a submitted-but-unsettled batch; a
+    /// retry carrying one of these joins that batch's ticket.
+    in_flight: HashMap<u64, Ticket>,
     opened_at: Option<Instant>,
     stop: bool,
 }
@@ -173,7 +143,9 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
             cfg,
             state: Mutex::new(FlushState {
                 pending: Vec::new(),
-                waiters: Vec::new(),
+                requests: 0,
+                keys: Vec::new(),
+                ticket: Ticket::new(),
                 in_flight: HashMap::new(),
                 opened_at: None,
                 stop: false,
@@ -197,11 +169,11 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
 
     /// Enqueue one update request.
     ///
-    /// Returns immediately with a [`PendingUpdate`]; call
-    /// [`PendingUpdate::wait`] for the outcome. Invalid requests and
-    /// requests shed by admission control come back already resolved to
+    /// Returns immediately with the [`Ticket`] of the batch the request
+    /// joined; call [`Ticket::wait`] for the outcome. Invalid requests and
+    /// requests shed by admission control come back already settled as
     /// [`BatchOutcome::Rejected`] without touching the queue.
-    pub fn submit(&self, updates: Vec<EdgeUpdate>) -> PendingUpdate {
+    pub fn submit(&self, updates: Vec<EdgeUpdate>) -> Ticket {
         self.submit_keyed(None, updates)
     }
 
@@ -212,57 +184,58 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
     ///   the request resolves immediately to the original
     ///   `Applied { seq }` — nothing is re-applied.
     /// * If a request with `key` is still **pending or in flight**, this
-    ///   request joins its outcome slot — both callers see the one outcome
-    ///   of the one enqueued copy.
+    ///   request gets that request's [`Ticket`] — both callers see the one
+    ///   outcome of the one enqueued copy.
     /// * Otherwise the request enqueues normally and its key travels with
     ///   the merged batch into the writer (and, on a durable server, into
     ///   the WAL record and checkpoints).
     ///
     /// Keys are client-chosen `u64`s; callers must make them unique per
     /// logical update (a random 64-bit value per request is fine).
-    pub fn submit_keyed(&self, key: Option<u64>, updates: Vec<EdgeUpdate>) -> PendingUpdate {
+    pub fn submit_keyed(&self, key: Option<u64>, updates: Vec<EdgeUpdate>) -> Ticket {
         if let Err(reason) = validate_batch(&self.shared.graph, &updates) {
             self.shared.requests_rejected.fetch_add(1, Ordering::Relaxed);
             self.shared.server.note_rejected_batch();
-            return PendingUpdate::resolved(BatchOutcome::Rejected(reason));
+            return Ticket::resolved(BatchOutcome::Rejected(reason));
         }
         if let Some(k) = key {
             if let Some(seq) = self.shared.server.dedup_lookup(k) {
-                return PendingUpdate::resolved(BatchOutcome::Applied { seq });
+                return Ticket::resolved(BatchOutcome::Applied { seq });
             }
         }
         let mut st = self.shared.state.lock().unwrap();
         if st.stop {
-            return PendingUpdate::resolved(BatchOutcome::Rejected(
+            return Ticket::resolved(BatchOutcome::Rejected(
                 "batcher shut down before the request was accepted".into(),
             ));
         }
-        if let Some(slot) = key.and_then(|k| st.in_flight.get(&k).cloned()) {
+        if let Some(ticket) = key.and_then(|k| st.in_flight.get(&k).cloned()) {
             drop(st);
             self.shared.requests_joined.fetch_add(1, Ordering::Relaxed);
-            return PendingUpdate(slot);
+            return ticket;
         }
         if st.pending.len() + updates.len() > self.shared.cfg.max_queued {
             let queued = st.pending.len();
             drop(st);
             self.shared.requests_shed.fetch_add(1, Ordering::Relaxed);
-            return PendingUpdate::resolved(BatchOutcome::Rejected(format!(
+            return Ticket::resolved(BatchOutcome::Rejected(format!(
                 "overloaded: {queued} updates queued (admission limit {})",
                 self.shared.cfg.max_queued
             )));
         }
-        if st.pending.is_empty() {
+        if st.requests == 0 {
             st.opened_at = Some(Instant::now());
         }
         st.pending.extend(updates);
-        let slot = Arc::new(OutcomeSlot::default());
+        st.requests += 1;
+        let ticket = st.ticket.clone();
         if let Some(k) = key {
-            st.in_flight.insert(k, Arc::clone(&slot));
+            st.keys.push(k);
+            st.in_flight.insert(k, ticket.clone());
         }
-        st.waiters.push((key, Arc::clone(&slot)));
         drop(st);
         self.shared.kick.notify_all();
-        PendingUpdate(slot)
+        ticket
     }
 
     /// Point-in-time counters.
@@ -278,7 +251,7 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
         }
     }
 
-    /// Flush whatever is pending, resolve every outstanding waiter, and join
+    /// Flush whatever is pending, settle every outstanding ticket, and join
     /// the flusher thread. Idempotent; also runs on drop. Requests arriving
     /// after shutdown are rejected immediately.
     pub fn shutdown(&self) {
@@ -301,10 +274,10 @@ impl<I: DynamicDistanceIndex> Drop for AdaptiveBatcher<I> {
 
 fn flusher_loop<I: DynamicDistanceIndex>(shared: &BatcherShared<I>) {
     loop {
-        let (batch, waiters, by_size, by_timer) = {
+        let (batch, requests, keys, ticket, by_size, by_timer) = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if st.waiters.is_empty() {
+                if st.requests == 0 {
                     if st.stop {
                         return;
                     }
@@ -318,7 +291,9 @@ fn flusher_loop<I: DynamicDistanceIndex>(shared: &BatcherShared<I>) {
                     st.opened_at = None;
                     break (
                         std::mem::take(&mut st.pending),
-                        std::mem::take(&mut st.waiters),
+                        std::mem::take(&mut st.requests),
+                        std::mem::take(&mut st.keys),
+                        std::mem::replace(&mut st.ticket, Ticket::new()),
                         by_size,
                         !by_size && !st.stop,
                     );
@@ -329,30 +304,27 @@ fn flusher_loop<I: DynamicDistanceIndex>(shared: &BatcherShared<I>) {
                 st = guard;
             }
         };
-        // Submit outside the lock: producers keep accumulating the *next*
-        // batch while the writer applies this one — the wait below is
-        // exactly where repair amortisation comes from under load.
-        let keys: Vec<u64> = waiters.iter().filter_map(|(k, _)| *k).collect();
-        let ticket = shared.server.submit_with_keys(keys, batch);
-        let outcome = shared.server.wait_for(ticket);
+        // Counted before the submit: the writer wakes the batch's waiters,
+        // and they must already see it in the stats.
         shared.batches_submitted.fetch_add(1, Ordering::Relaxed);
-        shared.requests_coalesced.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+        shared.requests_coalesced.fetch_add(requests as u64, Ordering::Relaxed);
         if by_size {
             shared.flushes_by_size.fetch_add(1, Ordering::Relaxed);
         } else if by_timer {
             shared.flushes_by_timer.fetch_add(1, Ordering::Relaxed);
         }
-        // Resolve before releasing the keys: a retry arriving in between
-        // either joins the already-resolved slot (fine — PendingUpdate::wait
-        // is idempotent) or, after release, hits the server's dedup window.
-        for (_, waiter) in &waiters {
-            waiter.resolve(outcome.clone());
-        }
+        // Submit outside the lock: producers keep accumulating the *next*
+        // batch while the writer applies this one — the wait below is
+        // exactly where repair amortisation comes from under load.
+        shared.server.submit_ticket(ticket.clone(), keys.clone(), batch);
+        ticket.wait();
+        // The writer settled the ticket before the keys are released: a
+        // retry arriving in between joins the settled ticket (fine —
+        // Ticket::wait is idempotent) or, after release, hits the server's
+        // dedup window.
         let mut st = shared.state.lock().unwrap();
-        for (key, _) in &waiters {
-            if let Some(k) = key {
-                st.in_flight.remove(k);
-            }
+        for k in &keys {
+            st.in_flight.remove(k);
         }
     }
 }
@@ -378,7 +350,7 @@ mod tests {
             BatcherConfig { latency_ms: 250, ..Default::default() },
         );
         // Three requests inside one latency window → one merged batch.
-        let pends: Vec<PendingUpdate> = vec![
+        let pends: Vec<Ticket> = vec![
             batcher.submit(vec![EdgeUpdate::new(0, 1, 5)]),
             batcher.submit(vec![EdgeUpdate::new(1, 2, 6)]),
             batcher.submit(vec![EdgeUpdate::new(2, 3, 7)]),
@@ -442,7 +414,7 @@ mod tests {
             BatcherConfig { latency_ms: 300, max_updates: 1000, max_queued: 3 },
         );
         // Fill the queue within one latency window, then overflow it.
-        let fill: Vec<PendingUpdate> =
+        let fill: Vec<Ticket> =
             (0..3).map(|i| batcher.submit(vec![EdgeUpdate::new(0, 1, 10 + i)])).collect();
         let shed = batcher.submit(vec![EdgeUpdate::new(2, 3, 9)]);
         match shed.wait() {
@@ -486,7 +458,7 @@ mod tests {
             BatcherConfig { latency_ms: 250, ..Default::default() },
         );
         // Two submissions with the same key inside one latency window: the
-        // second joins the first's outcome slot instead of enqueueing a
+        // second joins the first's ticket instead of enqueueing a
         // duplicate update.
         let a = batcher.submit_keyed(Some(7), vec![EdgeUpdate::new(1, 2, 9)]);
         let b = batcher.submit_keyed(Some(7), vec![EdgeUpdate::new(1, 2, 9)]);

@@ -110,10 +110,10 @@ impl std::fmt::Display for RecoveryReport {
 /// writer restart) resubmits the same key; a hit here means the batch is
 /// already published, so the retry is acknowledged without re-applying —
 /// the guarantee that makes retries safe. The window is bounded (eviction
-/// is FIFO by first insertion) because keys, like rejection reasons, must
-/// not grow server memory without bound; a key older than the window's
-/// capacity of distinct later keys can in principle re-apply, so clients
-/// should retry promptly, not days later.
+/// is FIFO by first insertion) because keys must not grow server memory
+/// without bound; a key older than the window's capacity of distinct later
+/// keys can in principle re-apply, so clients should retry promptly, not
+/// days later.
 #[derive(Debug)]
 pub struct DedupWindow {
     map: HashMap<u64, u64>,

@@ -74,7 +74,8 @@
 //! [`BatchOutcome`] — `Applied` or `Rejected(reason)` — the writer stays
 //! alive, rejected batches consume no generation, and
 //! [`ServerStats::batches_rejected`] counts them. `submit`/`wait_for` never
-//! panic, even if the writer thread is gone.
+//! panic or hang, even if the writer thread is gone: every [`Ticket`] holds
+//! its own outcome slot, which is settled whatever becomes of the batch.
 //!
 //! ## Surviving crashes
 //!
@@ -119,9 +120,9 @@
 //! catch-up bring it back bit-identical.
 //!
 //! No dependencies beyond `std`: the swap slot is `RwLock<Arc<Snapshot>>`,
-//! the queue is `std::sync::mpsc`, and the publish barrier is a
-//! `Mutex<Progress>` + `Condvar` pair; the transport is `std::net` with a
-//! thread pool.
+//! the queue is `std::sync::mpsc`, and each batch's [`Ticket`] is a
+//! `Mutex<Option<BatchOutcome>>` + `Condvar` pair; the transport is
+//! `std::net` with a thread pool.
 
 pub mod batcher;
 pub mod durable;
@@ -134,12 +135,14 @@ pub mod stats;
 pub mod transport;
 pub mod wal;
 
-pub use batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats, PendingUpdate};
+pub use batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats};
 pub use durable::{DedupWindow, DurabilityConfig, RecoveryReport};
 pub use proto::{Endpoint, RemoteOutcome, RemoteStats, Request, Response};
 pub use replay::replay_mixed;
 pub use router::{Router, RouterConfig, RouterServer, RouterStats};
-pub use server::{validate_batch, BatchOutcome, ServerConfig, StlServer, Ticket};
+pub use server::{
+    validate_batch, BatchOutcome, ServerConfig, StlServer, Ticket, MAX_WRITER_RESTARTS,
+};
 pub use snapshot::Snapshot;
 pub use stats::ServerStats;
 pub use transport::{NetClient, NetConfig, NetServer, NetStats, RetryPolicy};

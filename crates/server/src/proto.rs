@@ -149,8 +149,8 @@ pub enum Response {
     Batch {
         /// Whether the batch was applied and published.
         applied: bool,
-        /// The batch's sequence number (applied) or the peer's current
-        /// generation (rejected).
+        /// The batch's sequence number (applied), or 0 (rejected: a
+        /// rejected batch consumes no sequence number).
         generation: u64,
         /// Rejection reason; empty for applied batches.
         reason: String,
@@ -465,8 +465,8 @@ pub fn read_frame_blocking(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 pub struct RemoteOutcome {
     /// Whether the batch was applied and published.
     pub applied: bool,
-    /// The batch's own sequence number (applied), or the peer's published
-    /// generation when the response was built (rejected).
+    /// The batch's own sequence number (applied), or 0 (rejected: a
+    /// rejected batch consumes no sequence number).
     pub generation: u64,
     /// Rejection reason; empty for applied batches.
     pub reason: String,

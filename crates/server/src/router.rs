@@ -350,7 +350,7 @@ impl Router {
         }
         if let Err(reason) = validate_batch(&self.graph, &batch) {
             // No seq consumed: every replica's generation is untouched.
-            return Ok(RemoteOutcome { applied: false, generation: seqr.cluster_gen, reason });
+            return Ok(RemoteOutcome { applied: false, generation: 0, reason });
         }
         let seq = seqr.cluster_gen + 1;
         self.counters.updates_routed.fetch_add(1, Ordering::Relaxed);

@@ -75,10 +75,6 @@ pub struct ServerStats {
     /// Idempotent-update lookups that hit the dedup window — each one a
     /// retry acknowledged without re-applying.
     pub dedup_hits: u64,
-    /// Rejection reasons evicted from the bounded window
-    /// ([`crate::ServerConfig::rejection_window`]); while this is 0, every
-    /// ticket resolves its exact outcome.
-    pub rejection_reasons_evicted: u64,
 }
 
 impl ServerStats {
@@ -103,8 +99,7 @@ impl std::fmt::Display for ServerStats {
              {} shards (critical path {:.1} us of {:.1} us total) | \
              trees touched/skipped {}/{} | {} compactions ({:.1} KiB flattened) | \
              snapshot {} | wal {} appended / {} fsyncs / {} replayed{} | \
-             {} checkpoints | {} writer restarts | {} dedup hits | \
-             {} reasons evicted",
+             {} checkpoints | {} writer restarts | {} dedup hits",
             self.batches_applied,
             self.queries_served,
             self.updates_submitted,
@@ -130,7 +125,6 @@ impl std::fmt::Display for ServerStats {
             self.checkpoints_written,
             self.writer_restarts,
             self.dedup_hits,
-            self.rejection_reasons_evicted,
         )
     }
 }
@@ -164,7 +158,6 @@ pub(crate) struct StatsCells {
     pub checkpoints_written: AtomicU64,
     pub writer_restarts: AtomicU64,
     pub dedup_hits: AtomicU64,
-    pub rejection_reasons_evicted: AtomicU64,
 }
 
 impl StatsCells {
@@ -194,7 +187,6 @@ impl StatsCells {
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             writer_restarts: self.writer_restarts.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            rejection_reasons_evicted: self.rejection_reasons_evicted.load(Ordering::Relaxed),
         }
     }
 }

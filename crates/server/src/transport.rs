@@ -590,12 +590,10 @@ fn local_response<I: DynamicDistanceIndex>(
             // Blocks this connection (not the worker pool's siblings'
             // queues — each worker owns one connection) until the merged
             // batch publishes: read-your-writes for the client.
-            let outcome = batcher.submit(batch).wait();
-            batch_response(&outcome, server.generation()).encode()
+            batch_response(batcher.submit(batch).wait()).encode()
         }
         Request::UpdateKeyed { key, batch } => {
-            let outcome = batcher.submit_keyed(Some(key), batch).wait();
-            batch_response(&outcome, server.generation()).encode()
+            batch_response(batcher.submit_keyed(Some(key), batch).wait()).encode()
         }
         Request::Apply { seq, batch } => {
             // Router→worker replication. Bypasses the batcher (coalescing
@@ -616,9 +614,7 @@ fn local_response<I: DynamicDistanceIndex>(
                     ))
                     .encode()
                 } else {
-                    let ticket = server.submit_with_keys(vec![seq], batch);
-                    let outcome = server.wait_for(ticket);
-                    batch_response(&outcome, server.generation()).encode()
+                    batch_response(server.submit_with_keys(vec![seq], batch).wait()).encode()
                 }
             }
         }
@@ -647,20 +643,15 @@ fn routed_response(router: &Router, request: Request) -> Vec<u8> {
     response.unwrap_or_else(|e| Response::Error(e.to_string())).encode()
 }
 
-/// Map a writer outcome onto the wire representation.
-fn batch_response(outcome: &BatchOutcome, generation: u64) -> Response {
+/// Map a writer outcome onto the wire representation: an applied batch
+/// carries its own sequence number, a rejected one — which consumed no
+/// sequence number — carries 0.
+fn batch_response(outcome: BatchOutcome) -> Response {
     match outcome {
-        BatchOutcome::Applied { seq } => Response::Batch {
-            applied: true,
-            // The batch's own sequence number (== the generation its epoch
-            // published); falls back to the server's current generation in
-            // the rare aged-out case where the exact seq is unknown.
-            generation: if *seq > 0 { *seq } else { generation },
-            reason: String::new(),
-        },
-        BatchOutcome::Rejected(reason) => {
-            Response::Batch { applied: false, generation, reason: reason.clone() }
+        BatchOutcome::Applied { seq } => {
+            Response::Batch { applied: true, generation: seq, reason: String::new() }
         }
+        BatchOutcome::Rejected(reason) => Response::Batch { applied: false, generation: 0, reason },
     }
 }
 
